@@ -193,6 +193,20 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 	if len(records) != a.Height {
 		return nil, fmt.Errorf("smoothing: input has %d rows, image has %d", len(records), a.Height)
 	}
+	// Bands select records by the row each one carries, so input splits
+	// may hold the rows in any order.
+	byRow := make([]mapred.Record, a.Height)
+	for _, rec := range records {
+		val, ok := rec.Value.(writable.Vector)
+		if !ok || len(val) == 0 {
+			return nil, fmt.Errorf("smoothing: record %q is not an image row", rec.Key)
+		}
+		y := int(val[0])
+		if y < 0 || y >= a.Height || byRow[y].Value != nil {
+			return nil, fmt.Errorf("smoothing: record %q has bad or repeated row %d", rec.Key, y)
+		}
+		byRow[y] = rec
+	}
 	subs := make([]core.SubProblem, p)
 	for g := 0; g < p; g++ {
 		lo, hi := g*a.Height/p, (g+1)*a.Height/p
@@ -214,7 +228,7 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 			}
 			sm.Set(haloKey(y), row.Clone())
 		}
-		subs[g] = core.SubProblem{Records: records[lo:hi], Model: sm}
+		subs[g] = core.SubProblem{Records: byRow[lo:hi:hi], Model: sm}
 	}
 	return subs, nil
 }

@@ -2,6 +2,7 @@ package smoothing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/model"
 	"repro/internal/simcluster"
+	"repro/internal/writable"
 )
 
 func testRuntime() *core.Runtime {
@@ -139,6 +141,44 @@ func TestPartitionBandsWithHalos(t *testing.T) {
 	}
 	if rows != 12 {
 		t.Fatalf("bands cover %d rows", rows)
+	}
+}
+
+// Bands pick their records by row, so an input whose rows arrive out of
+// order partitions into the same sub-problems as the ordered input.
+func TestPartitionShuffledRowsMatchesOrdered(t *testing.T) {
+	img := data.NoisyImage(9, 8, 13, 5)
+	app := New(8, 13, 0.5, 1e-6)
+	rt := testRuntime()
+	recs := Records(img)
+	shuffled := append([]mapred.Record(nil), recs...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	want, err := app.Partition(mapred.NewInput(recs, rt.Cluster(), 6), InitialModel(img), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := app.Partition(mapred.NewInput(shuffled, rt.Cluster(), 6), InitialModel(img), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range want {
+		if !got[g].Model.Equal(want[g].Model) {
+			t.Fatalf("band %d: sub-model differs from the ordered input's", g)
+		}
+		if len(got[g].Records) != len(want[g].Records) {
+			t.Fatalf("band %d: %d records, want %d", g, len(got[g].Records), len(want[g].Records))
+		}
+		for i, rec := range want[g].Records {
+			if got[g].Records[i].Key != rec.Key || !writable.Equal(got[g].Records[i].Value, rec.Value) {
+				t.Fatalf("band %d record %d = %q, want %q", g, i, got[g].Records[i].Key, rec.Key)
+			}
+		}
+	}
+	shuffled[0] = shuffled[1]
+	if _, err := app.Partition(mapred.NewInput(shuffled, rt.Cluster(), 6), InitialModel(img), 4); err == nil {
+		t.Fatal("input with a repeated row accepted")
 	}
 }
 

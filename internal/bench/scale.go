@@ -124,7 +124,7 @@ func scaleWorkload(name string, nodes, n, k, dims, partitions int, seed int64) (
 			// first k points sample every cluster once — the same
 			// "arbitrary but reproducible" seeding the legacy
 			// generators got from their shuffle.
-			m := model.NewWithCapacity(k)
+			m := model.New()
 			for j := 0; j < k; j++ {
 				m.Set(kmeans.CentroidKey(j), writable.Vector(stream.Point(j, nil)))
 			}

@@ -239,8 +239,8 @@ func kernels() []kernel {
 			// apply it back — the bytes loop-aware delta shipping and
 			// delta checkpoints move per iteration.
 			n := scaled(2_000, 200)
-			prev := model.NewWithCapacity(n)
-			next := model.NewWithCapacity(n)
+			prev := model.New()
+			next := model.New()
 			for i := 0; i < n; i++ {
 				v := writable.Vector{float64(i), 1, 2, 3}
 				key := fmt.Sprintf("w%06d", i)

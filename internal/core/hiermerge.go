@@ -130,7 +130,7 @@ func hierarchicalMerge(rt *Runtime, appName string, wm WeightedKeyMerger,
 	rackCounts := make([]map[string]int, len(racks))
 	for ri, rg := range racks {
 		rackKeys := keyUnion(parts, rg.members)
-		rm := model.NewWithCapacity(len(rackKeys))
+		rm := model.New()
 		counts := make(map[string]int, len(rackKeys))
 		for _, key := range rackKeys {
 			var vals []writable.Writable
@@ -171,7 +171,7 @@ func hierarchicalMerge(rt *Runtime, appName string, wm WeightedKeyMerger,
 		sources = append(sources, parts[i])
 	}
 	allKeys := keyUnion(sources, nil)
-	merged := model.NewWithCapacity(len(allKeys))
+	merged := model.New()
 	for _, key := range allKeys {
 		var vals []writable.Writable
 		var weights []int

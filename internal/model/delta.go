@@ -32,75 +32,34 @@ const (
 // next (op set, with the new value) and one tombstone per key of prev
 // missing from next (op delete), in ascending key order.
 func EncodeDelta(prev, next *Model, dst []byte) []byte {
-	pk, nk := prev.Keys(), next.Keys()
-	i, j := 0, 0
-	emit := func(key string, op byte, v writable.Writable) {
+	mergeWalk(prev, next, func(key string, pv, nv writable.Writable) {
+		if nv != nil && pv != nil && writable.Equal(pv, nv) {
+			return
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(key)))
 		dst = append(dst, key...)
-		dst = append(dst, op)
-		if op == deltaOpSet {
-			dst = writable.Encode(dst, v)
+		if nv == nil {
+			dst = append(dst, deltaOpDelete)
+			return
 		}
-	}
-	for i < len(pk) && j < len(nk) {
-		switch {
-		case pk[i] < nk[j]:
-			emit(pk[i], deltaOpDelete, nil)
-			i++
-		case pk[i] > nk[j]:
-			emit(nk[j], deltaOpSet, next.entries[nk[j]])
-			j++
-		default:
-			if !writable.Equal(prev.entries[pk[i]], next.entries[nk[j]]) {
-				emit(nk[j], deltaOpSet, next.entries[nk[j]])
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(pk); i++ {
-		emit(pk[i], deltaOpDelete, nil)
-	}
-	for ; j < len(nk); j++ {
-		emit(nk[j], deltaOpSet, next.entries[nk[j]])
-	}
+		dst = append(dst, deltaOpSet)
+		dst = writable.Encode(dst, nv)
+	})
 	return dst
 }
 
 // DeltaSize reports len(EncodeDelta(prev, next, nil)) without building
 // the encoding — the byte count delta shipping charges per iteration.
 func DeltaSize(prev, next *Model) int64 {
-	pk, nk := prev.Keys(), next.Keys()
 	var n int64
-	i, j := 0, 0
-	set := func(key string, v writable.Writable) {
-		n += int64(uvarintLen(uint64(len(key))) + len(key) + 1 + writable.Size(v))
-	}
-	tomb := func(key string) {
-		n += int64(uvarintLen(uint64(len(key))) + len(key) + 1)
-	}
-	for i < len(pk) && j < len(nk) {
+	mergeWalk(prev, next, func(key string, pv, nv writable.Writable) {
 		switch {
-		case pk[i] < nk[j]:
-			tomb(pk[i])
-			i++
-		case pk[i] > nk[j]:
-			set(nk[j], next.entries[nk[j]])
-			j++
-		default:
-			if !writable.Equal(prev.entries[pk[i]], next.entries[nk[j]]) {
-				set(nk[j], next.entries[nk[j]])
-			}
-			i++
-			j++
+		case nv == nil:
+			n += int64(uvarintLen(uint64(len(key))) + len(key) + 1)
+		case pv == nil || !writable.Equal(pv, nv):
+			n += int64(uvarintLen(uint64(len(key))) + len(key) + 1 + writable.Size(nv))
 		}
-	}
-	for ; i < len(pk); i++ {
-		tomb(pk[i])
-	}
-	for ; j < len(nk); j++ {
-		set(nk[j], next.entries[nk[j]])
-	}
+	})
 	return n
 }
 

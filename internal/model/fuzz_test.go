@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/writable"
@@ -35,6 +36,24 @@ func FuzzModelDecode(f *testing.F) {
 		if int64(len(decoded.Encode(nil))) != decoded.Size() {
 			t.Fatal("Size disagrees with encoding length")
 		}
-		_ = bytes.Equal(data, decoded.Encode(nil)) // canonical inputs round-trip exactly
+		if ascendingKeys(data) && !bytes.Equal(data, decoded.Encode(nil)) {
+			t.Fatalf("canonical input %x re-encoded as %x", data, decoded.Encode(nil))
+		}
 	})
+}
+
+// ascendingKeys reports whether the keys of a decodable model encoding
+// are strictly ascending, and so unique: such an input is canonical.
+func ascendingKeys(data []byte) bool {
+	var prev string
+	for first := true; len(data) > 0; first = false {
+		klen, n := binary.Uvarint(data)
+		key := string(data[n : n+int(klen)])
+		if !first && key <= prev {
+			return false
+		}
+		prev = key
+		_, data, _ = writable.Decode(data[n+int(klen):])
+	}
+	return true
 }

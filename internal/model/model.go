@@ -12,8 +12,11 @@ package model
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/writable"
@@ -22,52 +25,255 @@ import (
 // Model is a set of key/value pairs representing an iterative
 // algorithm's state (centroids, ranks and edge scores, weights, the
 // solution vector, image rows, ...).
+//
+// Keys and values sit in parallel slices in insertion order. Point
+// lookups go through an open-addressing index over the keys' hashes.
+// Ordered walks (Keys, Range, Encode and the two-model walks) use the
+// ascending key order, which is worked out only when a walk needs it,
+// by merging the ascending runs of the insertion order: a model built
+// in key order (from another model's Range, from a decoded encoding or
+// from sorted job output) never sorts at all.
 type Model struct {
-	entries map[string]writable.Writable
-	// keys caches the sorted key slice between mutations of the key
-	// set: models with tens of thousands of entries (PageRank's per-edge
-	// scores) are Range'd several times per iteration, and re-sorting
-	// on every walk dominated profiles. The pointer is atomic so
-	// read-only use from concurrent tasks stays race-free.
-	keys atomic.Pointer[[]string]
+	ks   *keySet
+	vals []writable.Writable // vals[i] is the value of ks.keys[i]
 }
+
+// keySet is a model's keys with their lookup index and ascending order.
+// Clone shares it between the source and the copy; once shared it is
+// never written again, and whichever model next changes its key set
+// copies it first. Read-only use of one model, or of a model and its
+// clones, from concurrent tasks is therefore race-free.
+type keySet struct {
+	keys []string
+	// index is an open-addressing table with linear probing at a load
+	// factor of at most three quarters. An entry's low bits (those the
+	// slot mask covers) hold a key's position plus one, 0 marking an
+	// empty slot; its high bits hold a tag cut from the key's hash, so a
+	// probe compares key strings only when the tags agree.
+	index []int32
+	// ascending reports that keys is strictly ascending, so position
+	// order is key order.
+	ascending bool
+	// shared is set once Clone has given the set to a second model or
+	// Keys has handed out its key slice.
+	shared atomic.Bool
+	// order caches the key order of a set that is not ascending. It is
+	// atomic so concurrent readers may compute it.
+	order atomic.Pointer[keyOrder]
+}
+
+// keyOrder is the ascending order of a key set: keys[i] sits at
+// position pos[i].
+type keyOrder struct {
+	keys []string
+	pos  []int32
+}
+
+// minIndex is the smallest index table; tables grow by doubling.
+const minIndex = 8
+
+var hashSeed = maphash.MakeSeed()
+
+func hashKey(key string) uint64 { return maphash.String(hashSeed, key) }
+
+// tag is the part of hash h an index entry keeps above the slot mask.
+func tag(h uint64, mask int) int32 { return int32(h>>33) &^ int32(mask) }
+
+// entry packs a position and the tag of hash h for an index of the
+// given mask. Positions stay below the mask because the load factor is
+// below one.
+func entry(h uint64, pos, mask int) int32 { return tag(h, mask) | int32(pos+1) }
 
 // New returns an empty model.
 func New() *Model {
-	return &Model{entries: make(map[string]writable.Writable)}
+	return &Model{ks: &keySet{ascending: true}}
 }
 
-// NewWithCapacity returns an empty model whose entry map is pre-sized
-// for n keys, so bulk builders (decode, merge trees, per-partition
-// model refresh) avoid the incremental map growth of Set-by-Set
-// construction.
-func NewWithCapacity(n int) *Model {
-	return &Model{entries: make(map[string]writable.Writable, n)}
-}
-
-// Set stores v under key, replacing any previous value.
-func (m *Model) Set(key string, v writable.Writable) {
-	if m.keys.Load() != nil {
-		if _, ok := m.entries[key]; !ok {
-			m.keys.Store(nil)
+// find returns the position of the key with hash h, or -1, and the
+// index slot holding it, or the empty slot where it would go (-1 when
+// the set has no index yet).
+func (ks *keySet) find(key string, h uint64) (pos, slot int) {
+	if len(ks.index) == 0 {
+		return -1, -1
+	}
+	mask := len(ks.index) - 1
+	t := tag(h, mask)
+	for s := int(h) & mask; ; s = (s + 1) & mask {
+		e := ks.index[s]
+		if e == 0 {
+			return -1, s
+		}
+		if e&^int32(mask) == t {
+			if i := int(e&int32(mask)) - 1; ks.keys[i] == key {
+				return i, s
+			}
 		}
 	}
-	m.entries[key] = v
+}
+
+// rehash rebuilds the index with size slots (a power of two).
+func (ks *keySet) rehash(size int) {
+	index := make([]int32, size)
+	mask := size - 1
+	for i, k := range ks.keys {
+		h := hashKey(k)
+		s := int(h) & mask
+		for index[s] != 0 {
+			s = (s + 1) & mask
+		}
+		index[s] = entry(h, i, mask)
+	}
+	ks.index = index
+}
+
+// unlink empties an index slot, shifting later entries of its probe
+// chain back so every remaining key stays reachable from its home slot.
+func (ks *keySet) unlink(hole int) {
+	mask := len(ks.index) - 1
+	for j := (hole + 1) & mask; ks.index[j] != 0; j = (j + 1) & mask {
+		home := int(hashKey(ks.keys[ks.index[j]&int32(mask)-1])) & mask
+		// The entry may move back unless its home lies in (hole, j].
+		if (j-home)&mask >= (j-hole)&mask {
+			ks.index[hole] = ks.index[j]
+			hole = j
+		}
+	}
+	ks.index[hole] = 0
+}
+
+// sorted returns the set's ascending order, computing and caching it on
+// first use.
+func (ks *keySet) sorted() *keyOrder {
+	if o := ks.order.Load(); o != nil {
+		return o
+	}
+	o := mergeRuns(ks.keys)
+	ks.order.Store(o)
+	return o
+}
+
+// mergeRuns orders keys by a natural merge sort: a set made of a few
+// sorted stretches, or sorted but for local disorder, orders in a few
+// linear passes.
+func mergeRuns(keys []string) *keyOrder {
+	n := len(keys)
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	less := func(a, b int32) bool { return keys[a] < keys[b] }
+	// Insertion-sort short stretches so local disorder costs no merge
+	// passes, then merge the runs that remain.
+	const minRun = 32
+	for lo := 0; lo < n; lo += minRun {
+		hi := min(lo+minRun, n)
+		for i := lo + 1; i < hi; i++ {
+			p, j := pos[i], i
+			for ; j > lo && less(p, pos[j-1]); j-- {
+				pos[j] = pos[j-1]
+			}
+			pos[j] = p
+		}
+	}
+	runs := []int{0}
+	for i := 1; i < n; i++ {
+		if less(pos[i], pos[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, n)
+	buf := make([]int32, n)
+	for len(runs) > 2 {
+		merged := []int{0}
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid := runs[r], runs[r+1]
+			if r+2 == len(runs) { // an odd run out
+				copy(buf[lo:mid], pos[lo:mid])
+				merged = append(merged, mid)
+				break
+			}
+			hi := runs[r+2]
+			a, b, out := pos[lo:mid], pos[mid:hi], buf[lo:hi]
+			// The part of a below b's first key moves without comparing.
+			i := sort.Search(len(a), func(i int) bool { return less(b[0], a[i]) })
+			k, j := copy(out, a[:i]), 0
+			for i < len(a) && j < len(b) {
+				if less(b[j], a[i]) {
+					out[k] = b[j]
+					j++
+				} else {
+					out[k] = a[i]
+					i++
+				}
+				k++
+			}
+			k += copy(out[k:], a[i:])
+			copy(out[k:], b[j:])
+			merged = append(merged, hi)
+		}
+		runs = merged
+		pos, buf = buf, pos
+	}
+	sorted := make([]string, n)
+	for i, p := range pos {
+		sorted[i] = keys[p]
+	}
+	return &keyOrder{keys: sorted, pos: pos}
+}
+
+// own returns m's key set, first replacing it with a private copy if it
+// is shared.
+func (m *Model) own() *keySet {
+	ks := m.ks
+	if !ks.shared.Load() {
+		return ks
+	}
+	keys := append(make([]string, 0, len(ks.keys)+1), ks.keys...)
+	m.ks = &keySet{keys: keys, index: slices.Clone(ks.index), ascending: ks.ascending}
+	return m.ks
+}
+
+// Set stores v under key, replacing any previous value. A nil v is
+// stored as writable.Null{}, which encodes the same.
+func (m *Model) Set(key string, v writable.Writable) {
+	if v == nil {
+		v = writable.Null{}
+	}
+	h := hashKey(key)
+	i, slot := m.ks.find(key, h)
+	if i >= 0 {
+		m.vals[i] = v
+		return
+	}
+	// A private copy of a shared set has the same index, so slot still
+	// holds unless the index must grow.
+	ks := m.own()
+	n := len(ks.keys)
+	if 4*(n+1) > 3*len(ks.index) {
+		ks.rehash(max(minIndex, 2*len(ks.index)))
+		_, slot = ks.find(key, h)
+	}
+	ks.index[slot] = entry(h, n, len(ks.index)-1)
+	ks.ascending = ks.ascending && (n == 0 || ks.keys[n-1] < key)
+	ks.keys = append(ks.keys, key)
+	if ks.order.Load() != nil {
+		ks.order.Store(nil)
+	}
+	m.vals = append(m.vals, v)
 }
 
 // Get returns the value stored under key.
 func (m *Model) Get(key string) (writable.Writable, bool) {
-	v, ok := m.entries[key]
-	return v, ok
+	if i, _ := m.ks.find(key, hashKey(key)); i >= 0 {
+		return m.vals[i], true
+	}
+	return nil, false
 }
 
 // Vector returns the value under key as a writable.Vector. It returns
 // false if the key is missing or holds a different kind.
 func (m *Model) Vector(key string) (writable.Vector, bool) {
-	v, ok := m.entries[key]
-	if !ok {
-		return nil, false
-	}
+	v, _ := m.Get(key)
 	vec, ok := v.(writable.Vector)
 	return vec, ok
 }
@@ -75,65 +281,94 @@ func (m *Model) Vector(key string) (writable.Vector, bool) {
 // Float returns the value under key as a float64. It returns false if
 // the key is missing or holds a different kind.
 func (m *Model) Float(key string) (float64, bool) {
-	v, ok := m.entries[key]
-	if !ok {
-		return 0, false
-	}
+	v, _ := m.Get(key)
 	f, ok := v.(writable.Float64)
 	return float64(f), ok
 }
 
 // Delete removes key from the model. Deleting a missing key is a no-op.
+// The last key moves into the freed position.
 func (m *Model) Delete(key string) {
-	if _, ok := m.entries[key]; ok {
-		m.keys.Store(nil)
+	h := hashKey(key)
+	if i, _ := m.ks.find(key, h); i < 0 {
+		return
 	}
-	delete(m.entries, key)
+	ks := m.own()
+	i, slot := ks.find(key, h)
+	ks.unlink(slot)
+	last := len(ks.keys) - 1
+	if i != last {
+		mask := len(ks.index) - 1
+		_, moved := ks.find(ks.keys[last], hashKey(ks.keys[last]))
+		ks.index[moved] = ks.index[moved]&^int32(mask) | int32(i+1)
+		ks.keys[i], m.vals[i] = ks.keys[last], m.vals[last]
+		ks.ascending = ks.ascending && i == last-1
+	}
+	ks.keys[last], m.vals[last] = "", nil
+	ks.keys, m.vals = ks.keys[:last], m.vals[:last]
+	if ks.order.Load() != nil {
+		ks.order.Store(nil)
+	}
 }
 
 // Len reports the number of entries.
-func (m *Model) Len() int { return len(m.entries) }
+func (m *Model) Len() int { return len(m.vals) }
+
+// ordered returns m's keys in ascending order and the position of each
+// key's value, or nil positions when position order is key order.
+func (m *Model) ordered() ([]string, []int32) {
+	if m.ks.ascending {
+		return m.ks.keys, nil
+	}
+	o := m.ks.sorted()
+	return o.keys, o.pos
+}
+
+// at returns the value of the i-th key of an ordered walk.
+func (m *Model) at(pos []int32, i int) writable.Writable {
+	if pos == nil {
+		return m.vals[i]
+	}
+	return m.vals[pos[i]]
+}
 
 // Keys returns the model's keys in sorted order, so iteration over a
-// model is deterministic. The slice is cached until the key set next
-// changes and is shared between callers: treat it as read-only.
+// model is deterministic. The slice is shared with the model and with
+// other callers: treat it as read-only.
 func (m *Model) Keys() []string {
-	if p := m.keys.Load(); p != nil {
-		return *p
+	ks := m.ks
+	if !ks.ascending {
+		return ks.sorted().keys
 	}
-	keys := make([]string, 0, len(m.entries))
-	for k := range m.entries {
-		keys = append(keys, k)
+	if !ks.shared.Load() {
+		ks.shared.Store(true)
 	}
-	sort.Strings(keys)
-	m.keys.Store(&keys)
-	return keys
+	return ks.keys[:len(ks.keys):len(ks.keys)]
 }
 
 // Range calls fn for each entry in sorted key order until fn returns
-// false.
+// false. fn may set values but must not delete keys.
 func (m *Model) Range(fn func(key string, v writable.Writable) bool) {
-	for _, k := range m.Keys() {
-		if !fn(k, m.entries[k]) {
+	keys, pos := m.ordered()
+	for i, k := range keys {
+		if !fn(k, m.at(pos, i)) {
 			return
 		}
 	}
 }
 
 // Clone returns a deep copy: mutating the copy's values never affects
-// the original.
+// the original. The copy shares the key set, its index and its order
+// with m until either model's keys change.
 func (m *Model) Clone() *Model {
-	c := &Model{entries: make(map[string]writable.Writable, len(m.entries))}
-	for k, v := range m.entries {
-		c.entries[k] = writable.Clone(v)
+	if !m.ks.shared.Load() {
+		m.ks.shared.Store(true)
 	}
-	// The clone has the same key set, so it can share the (read-only)
-	// sorted-key cache; each copy invalidates its own pointer when its
-	// key set diverges.
-	if p := m.keys.Load(); p != nil {
-		c.keys.Store(p)
+	vals := make([]writable.Writable, len(m.vals))
+	for i, v := range m.vals {
+		vals[i] = writable.Clone(v)
 	}
-	return c
+	return &Model{ks: m.ks, vals: vals}
 }
 
 // Size reports the encoded size of the model in bytes: for each entry, a
@@ -141,8 +376,8 @@ func (m *Model) Clone() *Model {
 // bytes a model update moves across the network per copy.
 func (m *Model) Size() int64 {
 	var n int64
-	for k, v := range m.entries {
-		n += int64(uvarintLen(uint64(len(k))) + len(k) + writable.Size(v))
+	for i, k := range m.ks.keys {
+		n += int64(uvarintLen(uint64(len(k))) + len(k) + writable.Size(m.vals[i]))
 	}
 	return n
 }
@@ -153,9 +388,10 @@ func (m *Model) Equal(o *Model) bool {
 	if m.Len() != o.Len() {
 		return false
 	}
-	for k, v := range m.entries {
-		ov, ok := o.entries[k]
-		if !ok || !writable.Equal(v, ov) {
+	keys, pos := m.ordered()
+	okeys, opos := o.ordered()
+	for i, k := range keys {
+		if k != okeys[i] || !writable.Equal(m.at(pos, i), o.at(opos, i)) {
 			return false
 		}
 	}
@@ -166,17 +402,19 @@ func (m *Model) Equal(o *Model) bool {
 // entries in sorted key order, each as length-prefixed key bytes
 // followed by the encoded value. len(Encode(nil)) == Size().
 func (m *Model) Encode(dst []byte) []byte {
-	for _, k := range m.Keys() {
+	keys, pos := m.ordered()
+	for i, k := range keys {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))
 		dst = append(dst, k...)
-		dst = writable.Encode(dst, m.entries[k])
+		dst = writable.Encode(dst, m.at(pos, i))
 	}
 	return dst
 }
 
-// Decode parses a model encoded by Encode.
+// Decode parses a model encoded by Encode. When a key repeats, its last
+// value wins.
 func Decode(src []byte) (*Model, error) {
-	m := NewWithCapacity(16)
+	m := New()
 	for len(src) > 0 {
 		klen, n := binary.Uvarint(src)
 		if n <= 0 || uint64(len(src)-n) < klen {
@@ -192,9 +430,44 @@ func Decode(src []byte) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.entries[key] = v
+		m.Set(key, v)
 	}
 	return m, nil
+}
+
+// mergeWalk visits the union of a's and b's keys in ascending order,
+// passing the value each model holds under the key, or nil where it
+// holds none (Set never stores nil).
+func mergeWalk(a, b *Model, fn func(key string, av, bv writable.Writable)) {
+	ak, ap := a.ordered()
+	if a.ks == b.ks {
+		for i, k := range ak {
+			fn(k, a.at(ap, i), b.at(ap, i))
+		}
+		return
+	}
+	bk, bp := b.ordered()
+	i, j := 0, 0
+	for i < len(ak) && j < len(bk) {
+		switch c := strings.Compare(ak[i], bk[j]); {
+		case c < 0:
+			fn(ak[i], a.at(ap, i), nil)
+			i++
+		case c > 0:
+			fn(bk[j], nil, b.at(bp, j))
+			j++
+		default:
+			fn(ak[i], a.at(ap, i), b.at(bp, j))
+			i++
+			j++
+		}
+	}
+	for ; i < len(ak); i++ {
+		fn(ak[i], a.at(ap, i), nil)
+	}
+	for ; j < len(bk); j++ {
+		fn(bk[j], nil, b.at(bp, j))
+	}
 }
 
 // MaxVectorDelta returns the largest L2 distance between corresponding
@@ -204,18 +477,14 @@ func Decode(src []byte) (*Model, error) {
 // present in only one model, are ignored.
 func MaxVectorDelta(a, b *Model) float64 {
 	var worst float64
-	for k, av := range a.entries {
+	mergeWalk(a, b, func(_ string, av, bv writable.Writable) {
 		avec, ok := av.(writable.Vector)
 		if !ok {
-			continue
-		}
-		bv, ok := b.entries[k]
-		if !ok {
-			continue
+			return
 		}
 		bvec, ok := bv.(writable.Vector)
 		if !ok || len(bvec) != len(avec) {
-			continue
+			return
 		}
 		var d2 float64
 		for i := range avec {
@@ -225,7 +494,7 @@ func MaxVectorDelta(a, b *Model) float64 {
 		if d2 > worst {
 			worst = d2
 		}
-	}
+	})
 	return math.Sqrt(worst)
 }
 
@@ -234,27 +503,19 @@ func MaxVectorDelta(a, b *Model) float64 {
 // for scalar-valued models such as PageRank ranks.
 func MaxFloatDelta(a, b *Model) float64 {
 	var worst float64
-	for k, av := range a.entries {
+	mergeWalk(a, b, func(_ string, av, bv writable.Writable) {
 		af, ok := av.(writable.Float64)
 		if !ok {
-			continue
-		}
-		bv, ok := b.entries[k]
-		if !ok {
-			continue
+			return
 		}
 		bf, ok := bv.(writable.Float64)
 		if !ok {
-			continue
+			return
 		}
-		d := float64(af) - float64(bf)
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
+		if d := math.Abs(float64(af) - float64(bf)); d > worst {
 			worst = d
 		}
-	}
+	})
 	return worst
 }
 
@@ -285,10 +546,12 @@ type DiffStats struct {
 func Diff(prev, next *Model) (*Model, DiffStats) {
 	delta := New()
 	var stats DiffStats
-	for k, nv := range next.entries {
-		pv, ok := prev.entries[k]
+	mergeWalk(prev, next, func(k string, pv, nv writable.Writable) {
 		switch {
-		case !ok:
+		case nv == nil:
+			stats.Removed++
+			stats.DeltaBytes += int64(uvarintLen(uint64(len(k))) + len(k) + 1) // tombstone
+		case pv == nil:
 			stats.Added++
 			delta.Set(k, nv)
 		case !writable.Equal(pv, nv):
@@ -297,13 +560,7 @@ func Diff(prev, next *Model) (*Model, DiffStats) {
 		default:
 			stats.Unchanged++
 		}
-	}
-	for k := range prev.entries {
-		if _, ok := next.entries[k]; !ok {
-			stats.Removed++
-			stats.DeltaBytes += int64(uvarintLen(uint64(len(k))) + len(k) + 1) // tombstone
-		}
-	}
+	})
 	stats.DeltaBytes += delta.Size()
 	return delta, stats
 }
