@@ -42,3 +42,42 @@ func BenchmarkSizeVector(b *testing.B) {
 		}
 	}
 }
+
+// smoothingRow is a 1024-wide vector, the width of a smoothing image row.
+func smoothingRow() Vector {
+	v := make(Vector, 1024)
+	for i := range v {
+		v[i] = float64(i) / 7
+	}
+	return v
+}
+
+func BenchmarkEqualVector(b *testing.B) {
+	var x, y Writable = smoothingRow(), smoothingRow()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !Equal(x, y) {
+			b.Fatal("unequal")
+		}
+	}
+}
+
+func BenchmarkCloneVector(b *testing.B) {
+	var x Writable = smoothingRow()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if Clone(x) == nil {
+			b.Fatal("nil clone")
+		}
+	}
+}
+
+func BenchmarkCloneFloat64(b *testing.B) {
+	var x Writable = Float64(0.85)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if Clone(x) == nil {
+			b.Fatal("nil clone")
+		}
+	}
+}

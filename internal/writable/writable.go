@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind identifies the concrete type of an encoded Writable.
@@ -323,6 +324,10 @@ func (v Vector) EncodedSize() int { return uvarintLen(uint64(len(v))) + 8*len(v)
 // AppendTo implements Writable.
 func (v Vector) AppendTo(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	// One growth for all components; the appends below then never
+	// reallocate. (Appending measures faster than PutUint64 into a
+	// resliced buffer.)
+	dst = slices.Grow(dst, 8*len(v))
 	for _, x := range v {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 	}

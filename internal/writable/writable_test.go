@@ -1,8 +1,10 @@
 package writable
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -200,10 +202,117 @@ func TestEqual(t *testing.T) {
 		{Vector{1, 2}, Vector{1, 2, 3}, false},
 		{Null{}, nil, true},
 		{nil, nil, true},
+		// NaNs compare by payload, as their encodings do.
+		{Float64(nan1), Float64(nan1), true},
+		{Float64(nan1), Float64(nan2), false},
+		{Vector{nan1, 1}, Vector{nan1, 1}, true},
+		{Vector{nan1, 1}, Vector{nan2, 1}, false},
+		{Float64(0), Float64(math.Copysign(0, -1)), false},
+		{Vector{0}, Vector{math.Copysign(0, -1)}, false},
+		// nil and empty slices encode alike.
+		{Bytes(nil), Bytes{}, true},
+		{Vector(nil), Vector{}, true},
+		{List(nil), List{}, true},
+		{Bytes{}, Vector{}, false},
+		{Bytes(nil), nil, false},
+		{Vector(nil), Null{}, false},
+		{Text(""), Bytes{}, false},
+		{Text("ab"), Bytes("ab"), false},
+		// Nested values with nil fields: nil and Null{} are the same.
+		{Pair{}, Pair{First: Null{}, Second: Null{}}, true},
+		{Pair{First: Vector{1}}, Pair{First: Vector{1}, Second: Null{}}, true},
+		{Pair{First: Vector{1}}, Pair{First: Vector{2}}, false},
+		{Pair{First: nil, Second: Int32(1)}, Pair{First: Int32(1), Second: nil}, false},
+		{List{nil, Pair{}}, List{Null{}, Pair{Second: Null{}}}, true},
+		{List{nil}, List{Int32(0)}, false},
+		{List{Pair{First: List{nil}}}, List{Pair{First: List{Null{}}}}, true},
+		{List{Pair{First: List{nil}}}, List{Pair{First: List{}}}, false},
+		// Different kinds holding equal numbers.
+		{Int32(7), Int64(7), false},
+		{Int64(7), Float64(7), false},
+		{Float64(7), Vector{7}, false},
+		{Vector{7}, List{Float64(7)}, false},
+		{Pair{First: Int32(1), Second: Int32(2)}, List{Int32(1), Int32(2)}, false},
+		// Types from outside the package compare through their encoding.
+		{foreign{KindVector, Vector{1, 2}}, Vector{1, 2}, true},
+		{Vector{1, 2}, foreign{KindVector, Vector{1, 2}}, true},
+		{&Vector{1, 2}, Vector{1, 2}, true},
+		{foreign{KindVector, Vector{1, 2}}, Vector{1, 3}, false},
+		{foreign{KindNull, Null{}}, nil, true},
+		{foreign{KindNull, Int32(1)}, Null{}, false},
 	}
 	for _, c := range cases {
 		if got := Equal(c.a, c.b); got != c.want {
 			t.Errorf("Equal(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got, want := Equal(c.a, c.b), bytes.Equal(Encode(nil, c.a), Encode(nil, c.b)); got != want {
+			t.Errorf("Equal(%v, %v) = %v, encodings equal = %v", c.a, c.b, got, want)
+		}
+		if got := Equal(c.b, c.a); got != c.want {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.b, c.a, got, c.want)
+		}
+	}
+}
+
+// Two quiet NaNs with different payloads.
+var (
+	nan1 = math.Float64frombits(0x7FF8000000000001)
+	nan2 = math.Float64frombits(0x7FF8000000000002)
+)
+
+// foreign is a Writable defined outside the package's kinds: it reports
+// a chosen kind tag and encodes an inner value's payload.
+type foreign struct {
+	kind  Kind
+	inner Writable
+}
+
+func (f foreign) Kind() Kind                 { return f.kind }
+func (f foreign) EncodedSize() int           { return f.inner.EncodedSize() }
+func (f foreign) AppendTo(dst []byte) []byte { return f.inner.AppendTo(dst) }
+
+// Equal and Clone of the package's kinds must not go through the
+// encoding: comparing two vectors and cloning a scalar allocate nothing.
+func TestEqualCloneAllocs(t *testing.T) {
+	a := make(Vector, 1024)
+	b := make(Vector, 1024)
+	for i := range a {
+		a[i] = float64(i) / 3
+		b[i] = a[i]
+	}
+	var wa, wb Writable = a, b
+	if n := testing.AllocsPerRun(100, func() {
+		if !Equal(wa, wb) {
+			t.Fatal("equal vectors compared unequal")
+		}
+	}); n != 0 {
+		t.Errorf("Equal of two 1024-element Vectors: %v allocs, want 0", n)
+	}
+	for _, w := range []Writable{Float64(math.Pi), Int32(-3), Int64(1 << 40), Text("row-0042"), Null{}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if Clone(w) == nil {
+				t.Fatal("nil clone")
+			}
+		}); n != 0 {
+			t.Errorf("Clone(%T): %v allocs, want 0", w, n)
+		}
+	}
+}
+
+// Clone yields exactly what a decode of the value's encoding would.
+func TestCloneMatchesDecode(t *testing.T) {
+	values := []Writable{
+		Bytes{}, Bytes(nil), Bytes{1, 2}, Vector(nil), Vector{}, Vector{1.5, math.Copysign(0, -1)},
+		Pair{}, Pair{First: Bytes{}}, List(nil), List{nil, Vector(nil), Bytes{}},
+		foreign{KindVector, Vector{1}}, &Vector{2}, &Pair{First: Text("x")},
+	}
+	for _, w := range values {
+		want, _, err := Decode(Encode(nil, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Clone(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("Clone(%#v) = %#v, decode gives %#v", w, got, want)
 		}
 	}
 }
